@@ -5,11 +5,16 @@
 //! collects 2f+1 votes, recomputes the pre-prepare set "O" and broadcasts a
 //! new-view message; backups recompute O independently and verify it.
 //!
-//! Simplification (documented in DESIGN.md): prepared certificates are
-//! carried as the original pre-prepare without the 2f prepare attestations,
-//! which is sound for crash faults and for the paper's experiments; full
-//! Byzantine-proof view changes require signed prepares (as the original
-//! PBFT uses when configured with signatures).
+//! Simplification: prepared certificates are carried as the original
+//! pre-prepare without the 2f prepare attestations. That is sound for crash
+//! faults, where a voter only reports what it really prepared, and for the
+//! paper's experiments, which measure the view change's cost rather than
+//! attack it. It is not Byzantine-proof: a faulty voter can claim a batch
+//! prepared that never gathered a prepare quorum, and nothing in the vote
+//! lets the new primary check the claim. Closing that needs the prepares
+//! themselves in the proof (signed, as the original PBFT does when
+//! configured with signatures, or as MAC-based certificates); it is an
+//! open correctness item in ROADMAP.md.
 
 use pbft_crypto::Digest;
 
@@ -329,9 +334,9 @@ pub(crate) fn compute_new_view_preprepares(
 
 /// The stable checkpoint to adopt from a vote set: the highest
 /// `(last_stable_seq, stable_root)` claimed. (With ≤ f faulty voters in a
-/// 2f+1 set this can over-claim; the fetcher validates every page against
-/// the root, and a bogus root simply fails to transfer and is retried —
-/// see DESIGN.md's simplifications.)
+/// 2f+1 set this can over-claim, because a vote carries no checkpoint
+/// certificate. The fetcher validates every page against the root, so a
+/// bogus root simply fails to transfer and is retried.)
 fn stable_hint(vcs: &[ViewChangeMsg]) -> Option<(SeqNum, Digest)> {
     vcs.iter()
         .map(|v| (v.last_stable_seq, v.stable_root))

@@ -7,11 +7,14 @@
 //! modular exponentiation, real Miller–Rabin key generation, real
 //! sign/verify asymmetry — but key sizes that are trivially breakable.
 //!
-//! This is a deliberate, documented substitution (see DESIGN.md §2): the
-//! experiments measure *where* signatures sit in the protocol and *how often*
-//! they are computed, with the cost charged through the simulator's cost
-//! model, so small-but-real asymmetric math preserves every relevant
-//! behaviour while keeping the crate dependency-free.
+//! This is a deliberate substitution: the experiments measure *where*
+//! signatures sit in the protocol and *how often* they are computed, with
+//! the cost charged through the simulator's cost model (per signature, not
+//! per modulus bit), so small-but-real asymmetric math preserves every
+//! relevant behaviour while keeping the crate dependency-free. What it
+//! gives up is unforgeability against an attacker who factors a 64-bit
+//! modulus; the simulated Byzantine faults never try — they withhold,
+//! corrupt or equivocate with correctly signed messages.
 
 use std::fmt;
 

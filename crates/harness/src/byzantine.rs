@@ -39,24 +39,24 @@
 //! authentication (every message is genuinely signed by the primary) and
 //! exercises the prepare-quorum intersection argument directly.
 //!
-//! Faults are *mountable at runtime*: a [`FaultyReplicaHost`] built with
-//! [`FaultyReplicaHost::honest`] behaves exactly like the plain host until a
-//! scenario mounts a fault mid-run ([`FaultyReplicaHost::mount`]) and later
-//! unmounts it ([`FaultyReplicaHost::unmount`]). The scenario engine
-//! (`crate::scenario`) schedules those calls on the virtual clock, and the
-//! adaptive strategies of [`crate::adversary`] mount and unmount them in
-//! reaction to observed protocol state. A host built with
-//! [`FaultyReplicaHost::honest_with_twin`] (see [`build_adversary_cluster`])
+//! Faults are *mountable at runtime* on every cluster member: each
+//! [`ReplicaHost`] is honest until a scenario mounts a fault mid-run
+//! ([`Cluster::mount_fault`]) and honest again once it is unmounted
+//! ([`Cluster::unmount_fault`]). The scenario engine (`crate::scenario`)
+//! schedules those calls on the virtual clock, and the adaptive strategies
+//! of [`crate::adversary`] mount and unmount them in reaction to observed
+//! protocol state. A member built by [`build_adversary_cluster`]
 //! additionally keeps a silent split-brain twin tracking the protocol, so
-//! [`Fault::SplitBrain`] itself becomes mountable mid-run.
+//! [`Fault::SplitBrain`] itself becomes mountable mid-run. This module
+//! holds the packet policy of a mounted fault; with none mounted the host
+//! decodes no packet and sends every one of the member's packets as is.
 
-use pbft_core::messages::Sender;
+use pbft_core::messages::{Message, Sender};
 use pbft_core::replica::Replica;
-use pbft_core::{ClientId, ConsensusEngine, Envelope, NetTarget, Output, PacketBuf};
-use simnet::{Node, NodeCtx, NodeId, SimDuration, TimerId};
+use pbft_core::{ClientId, ConsensusEngine, Envelope, NetTarget, PacketBuf};
+use simnet::{NodeCtx, SimDuration, TimerId};
 
-use crate::cluster::{make_engine, Cluster, ClusterSpec};
-use crate::cost::CostModel;
+use crate::cluster::{make_engine, Cluster, ClusterSpec, ReplicaHost};
 
 /// Which Byzantine behaviour to mount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +105,60 @@ impl Fault {
             _ => false,
         }
     }
+
+    /// Extra per-invocation CPU under [`Fault::SlowPrimary`].
+    pub(crate) fn slowdown(&self) -> SimDuration {
+        match *self {
+            Fault::SlowPrimary { delay_ns } => SimDuration::from_nanos(delay_ns),
+            _ => SimDuration::ZERO,
+        }
+    }
+
+    /// Under [`Fault::Censor`]: should this incoming packet be swallowed
+    /// before the engine sees it? Only client requests are censored —
+    /// agreement traffic (which may *carry* the censored requests inside
+    /// pre-prepares) passes, exactly like a real censoring front-end.
+    pub(crate) fn censors_incoming(&self, payload: &[u8]) -> bool {
+        if !matches!(self, Fault::Censor { .. }) || payload.first() != Some(&TAG_REQUEST) {
+            return false;
+        }
+        match Envelope::decode(payload) {
+            Ok((env, _)) => match env.sender {
+                Sender::Client(c) => self.censors(c),
+                _ => false,
+            },
+            Err(_) => false,
+        }
+    }
+
+    /// Under [`Fault::Censor`]: is this outgoing message a reply to a
+    /// censored client? Read off the engine's decoded envelope, so no
+    /// packet is parsed and no client address is mapped.
+    fn censors_reply(&self, envelope: &Envelope) -> bool {
+        matches!(&envelope.msg, Message::Reply(r) if self.censors(r.client))
+    }
+
+    /// Pass-through shares the broadcast's `Arc`; only the (cold) corrupt
+    /// paths copy the bytes out to flip one.
+    fn transform(&self, packet: PacketBuf, to_client: bool) -> Option<PacketBuf> {
+        let tag = packet.first().copied().unwrap_or(0);
+        match self {
+            Fault::Mute => None,
+            Fault::TamperReplies if to_client && tag == TAG_REPLY => {
+                Some(PacketBuf::new(corrupt(packet.as_ref().clone())))
+            }
+            Fault::TamperAgreement
+                if !to_client
+                    && matches!(
+                        tag,
+                        TAG_PREPARE | TAG_COMMIT | TAG_PREPARE_QC | TAG_COMMIT_QC
+                    ) =>
+            {
+                Some(PacketBuf::new(corrupt(packet.as_ref().clone())))
+            }
+            _ => Some(packet),
+        }
+    }
 }
 
 /// Message discriminants (first payload byte) this module inspects.
@@ -121,314 +175,100 @@ const TAG_COMMIT_QC: u8 = 16;
 
 /// The host-private timer driving [`Fault::ViewChangeStorm`] bursts. Far
 /// outside the engine's `TimerKind` index range, so the two cannot collide.
-const STORM_TIMER: TimerId = TimerId(1_000);
+pub(crate) const STORM_TIMER: TimerId = TimerId(1_000);
 
-/// A replica host that can misbehave. Generic over the hosted
-/// [`ConsensusEngine`]; defaults to the PBFT [`Replica`].
-pub struct FaultyReplicaHost<E: ConsensusEngine = Replica> {
-    /// Engine(s): one, or two for [`Fault::SplitBrain`].
-    pub engines: Vec<E>,
-    /// Cumulative work record of engine 0 (cost-model inputs), matching
-    /// [`crate::cluster::ReplicaHost::cum_counts`] so experiment accessors
-    /// work on fault-ready clusters too.
-    pub cum_counts: pbft_core::OpCounts,
-    fault: Option<Fault>,
-    model: CostModel,
-    /// Group size (to map `NetTarget` to node ids).
-    n: usize,
-    /// Whether this host was mounted by a restart (passed to the engine's
-    /// `on_start` so it runs its recovery path).
-    restarted: bool,
-}
-
-impl<E: ConsensusEngine> FaultyReplicaHost<E> {
-    /// Wrap `replica` with `fault` mounted from the start. For
-    /// [`Fault::SplitBrain`] pass the twin engine created with
-    /// [`make_engine`] for the same id.
-    pub fn new(replica: E, twin: Option<E>, fault: Fault, model: CostModel, n: usize) -> Self {
-        let mut engines = vec![replica];
-        if let Some(t) = twin {
-            assert_eq!(
-                fault,
-                Fault::SplitBrain,
-                "twin engines are for split-brain only"
-            );
-            engines.push(t);
-        }
-        FaultyReplicaHost {
-            engines,
-            cum_counts: Default::default(),
-            fault: Some(fault),
-            model,
-            n,
-            restarted: false,
-        }
-    }
-
-    /// Wrap `replica` with *no* fault mounted: behaviour is identical to the
-    /// plain honest host, but a scenario can mount one later. This is how
-    /// fault-ready clusters are built (see
-    /// [`Cluster::build_fault_ready`](crate::cluster::Cluster::build_fault_ready)).
-    pub fn honest(replica: E, model: CostModel, n: usize) -> Self {
-        FaultyReplicaHost {
-            engines: vec![replica],
-            cum_counts: Default::default(),
-            fault: None,
-            model,
-            n,
-            restarted: false,
-        }
-    }
-
-    /// [`FaultyReplicaHost::honest`], flagged as a restart so the engine
-    /// runs its recovery path on mount.
-    pub fn honest_restarted(replica: E, model: CostModel, n: usize) -> Self {
-        Self::honest(replica, model, n).as_restarted()
-    }
-
-    /// [`FaultyReplicaHost::honest`] with a split-brain twin provisioned
-    /// from construction: the twin processes every input alongside the real
-    /// engine (so it shares the whole protocol history) but its outputs are
-    /// suppressed until [`Fault::SplitBrain`] is mounted. This is what lets
-    /// an adaptive adversary turn equivocation on and off mid-run.
-    pub fn honest_with_twin(replica: E, twin: E, model: CostModel, n: usize) -> Self {
-        FaultyReplicaHost {
-            engines: vec![replica, twin],
-            cum_counts: Default::default(),
-            fault: None,
-            model,
-            n,
-            restarted: false,
-        }
-    }
-
-    /// Flag this host as mounted by a restart, so the engine(s) run their
-    /// recovery path on start.
-    pub fn as_restarted(mut self) -> Self {
-        self.restarted = true;
-        self
-    }
-
-    /// The currently mounted fault, if any.
-    pub fn fault(&self) -> Option<Fault> {
-        self.fault
-    }
-
-    /// Mount `fault` at runtime (replacing any current one). Needs the node
-    /// context so time-driven faults can arm their timers — reach it with
-    /// [`simnet::Simulator::with_node_ctx`], or use
-    /// [`Cluster::mount_fault`](crate::cluster::Cluster::mount_fault).
+/// The fault side of the replica host: mounting, and the policy a mounted
+/// fault applies to the host's traffic.
+impl<E: ConsensusEngine> ReplicaHost<E> {
+    /// Mount `fault` (replacing any current one). Needs the node context so
+    /// time-driven faults can arm their timers.
     ///
     /// # Panics
     /// Panics on [`Fault::SplitBrain`] unless the host was built with a twin
     /// engine: the second brain cannot be conjured mid-run (it must share
     /// the whole protocol history).
-    pub fn mount(&mut self, fault: Fault, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn mount(&mut self, fault: Fault, ctx: &mut NodeCtx<'_>) {
         assert!(
-            fault != Fault::SplitBrain || self.engines.len() == 2,
+            fault != Fault::SplitBrain || self.twin.is_some(),
             "split-brain needs a twin engine from construction"
         );
         self.fault = Some(fault);
-        if let Fault::ViewChangeStorm { period_ns } = fault {
-            ctx.set_timer(STORM_TIMER, SimDuration::from_nanos(period_ns));
-        }
+        self.arm_fault_timer(ctx);
     }
 
     /// Unmount the current fault: the replica behaves honestly again (it
     /// keeps whatever protocol state the fault got it into — recovery from
     /// that is the protocol's job).
-    pub fn unmount(&mut self, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn unmount(&mut self, ctx: &mut NodeCtx<'_>) {
         if matches!(self.fault, Some(Fault::ViewChangeStorm { .. })) {
             ctx.cancel_timer(STORM_TIMER);
         }
         self.fault = None;
     }
 
-    /// Does `engine_idx` get to talk to `dst` under the current fault?
-    ///
-    /// Split-brain: engine 0 owns the first backup and all clients; engine 1
-    /// owns the remaining backups. (For n = 4 and faulty replica 0 that is
-    /// {1} vs {2, 3} — neither audience alone can assemble a prepare quorum
-    /// for a conflicting batch... unless the protocol is broken.)
-    ///
-    /// Whenever split-brain is *not* mounted, only engine 0 speaks: a twin
-    /// provisioned for later equivocation keeps tracking the protocol
-    /// silently instead of duplicating (and, with its skewed clock,
-    /// accidentally equivocating) the member's honest traffic.
-    fn audience_allows(&self, engine_idx: usize, dst: NodeId) -> bool {
-        if self.fault != Some(Fault::SplitBrain) {
-            return engine_idx == 0;
-        }
-        let is_replica = (dst.0 as usize) < self.n;
-        if !is_replica {
-            return engine_idx == 0; // clients hear engine 0 only
-        }
-        let me = self.engines[0].id().0;
-        // Peers other than ourselves, in id order, are split: first peer to
-        // engine 0, the rest to engine 1.
-        let mut peers: Vec<u32> = (0..self.n as u32).filter(|&r| r != me).collect();
-        let first = peers.remove(0);
-        if engine_idx == 0 {
-            dst.0 == first
-        } else {
-            peers.contains(&dst.0)
-        }
-    }
-
-    /// Pass-through shares the broadcast's `Arc`; only the (cold) corrupt
-    /// paths copy the bytes out to flip one.
-    fn transform(&self, packet: PacketBuf, to_client: bool) -> Option<PacketBuf> {
-        let tag = packet.first().copied().unwrap_or(0);
-        match self.fault {
-            Some(Fault::Mute) => None,
-            Some(Fault::TamperReplies) if to_client && tag == TAG_REPLY => {
-                Some(PacketBuf::new(corrupt(packet.as_ref().clone())))
-            }
-            Some(Fault::TamperAgreement)
-                if !to_client
-                    && matches!(
-                        tag,
-                        TAG_PREPARE | TAG_COMMIT | TAG_PREPARE_QC | TAG_COMMIT_QC
-                    ) =>
-            {
-                Some(PacketBuf::new(corrupt(packet.as_ref().clone())))
-            }
-            _ => Some(packet),
-        }
-    }
-
-    /// Under [`Fault::Censor`]: is `dst` a censored client's node? Client
-    /// `ClientId(k)` sits at node id `n + k - 1`.
-    fn censored_node(&self, dst: NodeId) -> bool {
-        let Some(fault) = self.fault else {
-            return false;
-        };
-        let idx = dst.0 as usize;
-        idx >= self.n && fault.censors(ClientId((idx - self.n) as u64 + 1))
-    }
-
-    /// Under [`Fault::Censor`]: should this incoming packet be swallowed
-    /// before the engine sees it? Only client requests are censored —
-    /// agreement traffic (which may *carry* the censored requests inside
-    /// pre-prepares) passes, exactly like a real censoring front-end.
-    fn censors_incoming(&self, payload: &[u8]) -> bool {
-        let Some(fault @ Fault::Censor { .. }) = self.fault else {
-            return false;
-        };
-        if payload.first() != Some(&TAG_REQUEST) {
-            return false;
-        }
-        match Envelope::decode(payload) {
-            Ok((env, _)) => match env.sender {
-                Sender::Client(c) => fault.censors(c),
-                _ => false,
-            },
-            Err(_) => false,
-        }
-    }
-
-    /// Extra per-invocation CPU under [`Fault::SlowPrimary`].
-    fn slowdown(&self) -> SimDuration {
-        match self.fault {
-            Some(Fault::SlowPrimary { delay_ns }) => SimDuration::from_nanos(delay_ns),
-            _ => SimDuration::ZERO,
-        }
-    }
-
-    fn route(&mut self, engine_idx: usize, outputs: Vec<Output>, ctx: &mut NodeCtx<'_>) {
-        for out in outputs {
-            match out {
-                Output::Send { to, packet, .. } => {
-                    let (dst, to_client) = match to {
-                        NetTarget::Replica(r) => (NodeId(r.0), false),
-                        NetTarget::Client(addr) => (NodeId(addr), true),
-                    };
-                    if !self.audience_allows(engine_idx, dst) {
-                        continue;
-                    }
-                    if to_client && self.censored_node(dst) {
-                        continue;
-                    }
-                    let Some(packet) = self.transform(packet, to_client) else {
-                        continue;
-                    };
-                    ctx.charge(self.model.packet_cost(packet.len()));
-                    ctx.send(dst, packet);
-                }
-                Output::SetTimer { kind, delay_ns } => {
-                    // Timers collapse across engines (same kinds); close
-                    // enough for fault scenarios.
-                    ctx.set_timer(
-                        TimerId(kind.index()),
-                        simnet::SimDuration::from_nanos(delay_ns),
-                    );
-                }
-                Output::CancelTimer { kind } => ctx.cancel_timer(TimerId(kind.index())),
-            }
-        }
-    }
-}
-
-impl<E: ConsensusEngine> Node for FaultyReplicaHost<E> {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        for i in 0..self.engines.len() {
-            let restarted = self.restarted;
-            let res = self.engines[i].on_start(ctx.now().as_nanos() + i as u64, restarted);
-            if i == 0 {
-                self.cum_counts.add(&res.counts);
-            }
-            ctx.charge(self.model.charge_counts(&res.counts));
-            self.route(i, res.outputs, ctx);
-        }
+    /// Arm the timer of a time-driven fault, if one is mounted.
+    pub(crate) fn arm_fault_timer(&self, ctx: &mut NodeCtx<'_>) {
         if let Some(Fault::ViewChangeStorm { period_ns }) = self.fault {
             ctx.set_timer(STORM_TIMER, SimDuration::from_nanos(period_ns));
         }
     }
 
-    fn on_packet(&mut self, _src: NodeId, payload: &[u8], ctx: &mut NodeCtx<'_>) {
-        ctx.charge(self.model.packet_cost(payload.len()));
-        ctx.charge(self.slowdown());
-        if self.censors_incoming(payload) {
-            return; // the censored client's request is silently swallowed
-        }
-        for i in 0..self.engines.len() {
-            // The twin's clock is skewed by its index (nanoseconds): the
-            // brains are otherwise deterministic twins and would issue
-            // *identical* pre-prepares — the skew lands in the batch's
-            // non-determinism data, so their batches genuinely conflict
-            // while every message stays correctly authenticated.
-            let res = self.engines[i].handle_packet(payload, ctx.now().as_nanos() + i as u64);
-            if i == 0 {
-                self.cum_counts.add(&res.counts);
-            }
-            ctx.charge(self.model.charge_counts(&res.counts));
-            self.route(i, res.outputs, ctx);
-        }
-    }
-
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut NodeCtx<'_>) {
-        if timer == STORM_TIMER {
-            // One burst per period, while the storm stays mounted.
-            if let Some(Fault::ViewChangeStorm { period_ns }) = self.fault {
-                let res = self.engines[0].force_suspect(ctx.now().as_nanos());
-                self.cum_counts.add(&res.counts);
-                ctx.charge(self.model.charge_counts(&res.counts));
-                self.route(0, res.outputs, ctx);
-                ctx.set_timer(STORM_TIMER, SimDuration::from_nanos(period_ns));
-            }
-            return;
-        }
-        let Some(kind) = pbft_core::TimerKind::from_index(timer.0) else {
+    /// [`STORM_TIMER`] fired: one burst of view-change votes per period,
+    /// while the storm stays mounted.
+    pub(crate) fn storm_burst(&mut self, ctx: &mut NodeCtx<'_>) {
+        let Some(Fault::ViewChangeStorm { period_ns }) = self.fault else {
             return;
         };
-        ctx.charge(self.slowdown());
-        for i in 0..self.engines.len() {
-            let res = self.engines[i].on_timer(kind, ctx.now().as_nanos() + i as u64);
-            if i == 0 {
-                self.cum_counts.add(&res.counts);
+        let res = self.replica.force_suspect(ctx.now().as_nanos());
+        self.cum_counts.add(&res.counts);
+        self.emit(0, res, ctx);
+        ctx.set_timer(STORM_TIMER, SimDuration::from_nanos(period_ns));
+    }
+
+    /// What goes on the wire when engine `engine` (0: the member, 1: its
+    /// twin) sends `packet` to `to`: the packet itself, a corrupted copy,
+    /// or nothing. With no fault mounted only the member speaks and every
+    /// packet passes untouched.
+    pub(crate) fn outgoing(
+        &self,
+        engine: usize,
+        to: NetTarget,
+        envelope: &Envelope,
+        packet: PacketBuf,
+    ) -> Option<PacketBuf> {
+        let Some(fault) = self.fault else {
+            return (engine == 0).then_some(packet);
+        };
+        if !self.audience_allows(engine, to) || fault.censors_reply(envelope) {
+            return None;
+        }
+        fault.transform(packet, matches!(to, NetTarget::Client(_)))
+    }
+
+    /// Does engine `engine` get to talk to `to` under the current fault?
+    ///
+    /// Split-brain: engine 0 owns the first peer (in id order) and all
+    /// clients; engine 1 owns the remaining peers. (For n = 4 and faulty
+    /// replica 0 that is {1} vs {2, 3} — neither audience alone can
+    /// assemble a prepare quorum for a conflicting batch... unless the
+    /// protocol is broken.)
+    ///
+    /// Whenever split-brain is *not* mounted, only engine 0 speaks: a twin
+    /// provisioned for later equivocation keeps tracking the protocol
+    /// silently instead of duplicating (and, with its skewed clock,
+    /// accidentally equivocating) the member's honest traffic.
+    fn audience_allows(&self, engine: usize, to: NetTarget) -> bool {
+        if self.fault != Some(Fault::SplitBrain) {
+            return engine == 0;
+        }
+        let me = self.replica.id();
+        match to {
+            NetTarget::Client(_) => engine == 0, // clients hear engine 0 only
+            NetTarget::Replica(r) if r == me => false,
+            NetTarget::Replica(r) => {
+                let first_peer = if me.0 == 0 { 1 } else { 0 };
+                (r.0 == first_peer) == (engine == 0)
             }
-            ctx.charge(self.model.charge_counts(&res.counts));
-            self.route(i, res.outputs, ctx);
         }
     }
 }
@@ -443,9 +283,9 @@ fn corrupt(mut packet: Vec<u8>) -> Vec<u8> {
     packet
 }
 
-/// Build a cluster where `faulty` misbehaves per `fault`; all other replicas
-/// are honest but fault-ready (scenarios can mount faults on them later),
-/// and all clients are honest.
+/// Build a cluster where `faulty` misbehaves per `fault` from the start;
+/// all other replicas are honest (scenarios can mount faults on them
+/// later), and all clients are honest.
 pub fn build_faulty_cluster(spec: ClusterSpec, faulty: u32, fault: Fault) -> Cluster {
     build_faulty_cluster_engine::<Replica>(spec, faulty, fault)
 }
@@ -456,23 +296,26 @@ pub fn build_faulty_cluster_engine<E: ConsensusEngine>(
     faulty: u32,
     fault: Fault,
 ) -> Cluster<E> {
-    let n = spec.cfg.n();
-    let cost = spec.cost;
     let spec_for_twin = spec.clone();
-    Cluster::build_engine_with(spec, move |i, replica| {
-        if i == faulty {
-            let twin = (fault == Fault::SplitBrain).then(|| make_engine::<E>(&spec_for_twin, i));
-            Box::new(FaultyReplicaHost::new(replica, twin, fault, cost, n))
-        } else {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
-        }
-    })
+    Cluster::assemble(
+        spec,
+        |mut host: ReplicaHost<E>| {
+            if host.replica.id().0 == faulty {
+                if fault == Fault::SplitBrain {
+                    host.twin = Some(make_engine::<E>(&spec_for_twin, faulty));
+                }
+                host.fault = Some(fault);
+            }
+            host
+        },
+        |_, _| None,
+    )
 }
 
 /// Build a cluster where replica `compromised` carries a provisioned (but
 /// silent) split-brain twin, so an adaptive adversary can mount *any*
-/// fault on it mid-run — including [`Fault::SplitBrain`]. All members are
-/// fault-ready; behaviour is honest until something is mounted.
+/// fault on it mid-run — including [`Fault::SplitBrain`]. Behaviour is
+/// honest until something is mounted.
 pub fn build_adversary_cluster(spec: ClusterSpec, compromised: u32) -> Cluster {
     build_adversary_cluster_engine::<Replica>(spec, compromised)
 }
@@ -482,22 +325,25 @@ pub fn build_adversary_cluster_engine<E: ConsensusEngine>(
     spec: ClusterSpec,
     compromised: u32,
 ) -> Cluster<E> {
-    let n = spec.cfg.n();
-    let cost = spec.cost;
     let spec_for_twin = spec.clone();
-    Cluster::build_engine_with(spec, move |i, replica| {
-        if i == compromised {
-            let twin = make_engine::<E>(&spec_for_twin, i);
-            Box::new(FaultyReplicaHost::honest_with_twin(replica, twin, cost, n))
-        } else {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
-        }
-    })
+    Cluster::assemble(
+        spec,
+        |mut host: ReplicaHost<E>| {
+            if host.replica.id().0 == compromised {
+                host.twin = Some(make_engine::<E>(&spec_for_twin, compromised));
+            }
+            host
+        },
+        |_, _| None,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
+    use pbft_core::messages::{AuthTag, ReplyMsg};
+    use pbft_core::ReplicaId;
 
     #[test]
     fn corrupt_flips_a_byte() {
@@ -507,38 +353,71 @@ mod tests {
         assert_eq!(c.iter().filter(|&&b| b != 5).count(), 1);
     }
 
+    /// A host for replica `i` of the default spec, with `fault` mounted
+    /// and, if `twin`, a split-brain twin provisioned.
+    fn test_host(i: u32, fault: Option<Fault>, twin: bool) -> ReplicaHost {
+        let spec = ClusterSpec::default();
+        let mut host = ReplicaHost::new(make_engine(&spec, i), CostModel::default());
+        host.twin = twin.then(|| make_engine(&spec, i));
+        host.fault = fault;
+        host
+    }
+
+    fn peer(r: u32) -> NetTarget {
+        NetTarget::Replica(ReplicaId(r))
+    }
+
+    /// A reply envelope addressed to `client`.
+    fn reply_to(client: u64) -> Envelope {
+        Envelope {
+            sender: Sender::Replica(ReplicaId(0)),
+            msg: Message::Reply(ReplyMsg {
+                view: 0,
+                client: ClientId(client),
+                timestamp: 1,
+                replica: ReplicaId(0),
+                tentative: false,
+                digest_only: false,
+                result: Vec::new(),
+            }),
+            auth: AuthTag::None,
+        }
+    }
+
     #[test]
     fn split_brain_audiences_are_disjoint_and_cover() {
-        let spec = ClusterSpec::default();
-        let n = spec.cfg.n();
-        let host: FaultyReplicaHost = FaultyReplicaHost::new(
-            make_engine(&spec, 0),
-            Some(make_engine(&spec, 0)),
-            Fault::SplitBrain,
-            CostModel::default(),
-            n,
-        );
-        for peer in 1..n as u32 {
-            let a = host.audience_allows(0, NodeId(peer));
-            let b = host.audience_allows(1, NodeId(peer));
-            assert!(a ^ b, "peer {peer} must hear exactly one brain");
+        let n = ClusterSpec::default().cfg.n() as u32;
+        for me in [0, 2] {
+            let host = test_host(me, Some(Fault::SplitBrain), true);
+            for r in (0..n).filter(|&r| r != me) {
+                let a = host.audience_allows(0, peer(r));
+                let b = host.audience_allows(1, peer(r));
+                assert!(a ^ b, "peer {r} must hear exactly one brain of {me}");
+            }
+            assert!(!host.audience_allows(0, peer(me)) && !host.audience_allows(1, peer(me)));
+            // Clients hear engine 0 only.
+            assert!(host.audience_allows(0, NetTarget::Client(n + 3)));
+            assert!(!host.audience_allows(1, NetTarget::Client(n + 3)));
         }
-        // Clients (ids ≥ n) hear engine 0 only.
-        assert!(host.audience_allows(0, NodeId(n as u32 + 3)));
-        assert!(!host.audience_allows(1, NodeId(n as u32 + 3)));
+        // For replica 0 the split is {1} vs {2, 3}.
+        let host = test_host(0, Some(Fault::SplitBrain), true);
+        assert!(host.audience_allows(0, peer(1)));
+        assert!(host.audience_allows(1, peer(2)) && host.audience_allows(1, peer(3)));
     }
 
     #[test]
     fn honest_host_passes_everything_through() {
-        let spec = ClusterSpec::default();
-        let host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 1), CostModel::default(), 4);
-        assert_eq!(host.fault(), None);
-        assert_eq!(host.slowdown(), SimDuration::ZERO);
-        assert!(host.audience_allows(0, NodeId(2)));
+        let host = test_host(1, None, false);
+        assert_eq!(host.fault, None);
+        assert!(host.audience_allows(0, peer(2)));
         let packet = PacketBuf::new(vec![TAG_REPLY, 1, 2, 3]);
         let out = host
-            .transform(PacketBuf::clone(&packet), true)
+            .outgoing(
+                0,
+                NetTarget::Client(4),
+                &reply_to(1),
+                PacketBuf::clone(&packet),
+            )
             .expect("passes");
         assert!(
             PacketBuf::ptr_eq(&out, &packet),
@@ -548,14 +427,11 @@ mod tests {
 
     #[test]
     fn tamper_agreement_covers_linear_qc_tags() {
-        let spec = ClusterSpec::default();
-        let mut host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 0), CostModel::default(), 4);
-        host.fault = Some(Fault::TamperAgreement);
+        let fault = Fault::TamperAgreement;
         for tag in [TAG_PREPARE, TAG_COMMIT, TAG_PREPARE_QC, TAG_COMMIT_QC] {
             let packet = PacketBuf::new(vec![tag, 7, 7, 7, 7]);
             assert_ne!(
-                host.transform(PacketBuf::clone(&packet), false),
+                fault.transform(PacketBuf::clone(&packet), false),
                 Some(packet),
                 "agreement tag {tag} must be corrupted"
             );
@@ -564,7 +440,7 @@ mod tests {
         for (tag, to_client) in [(2u8, false), (TAG_REPLY, true)] {
             let packet = PacketBuf::new(vec![tag, 7, 7, 7, 7]);
             assert_eq!(
-                host.transform(PacketBuf::clone(&packet), to_client),
+                fault.transform(PacketBuf::clone(&packet), to_client),
                 Some(packet)
             );
         }
@@ -572,7 +448,6 @@ mod tests {
 
     #[test]
     fn censor_targets_exactly_the_masked_clients() {
-        let n = 4;
         let fault = Fault::Censor { client_bits: 0b101 }; // clients 1 and 3
         assert!(fault.censors(ClientId(1)));
         assert!(!fault.censors(ClientId(2)));
@@ -580,56 +455,54 @@ mod tests {
         assert!(!fault.censors(ClientId(4)));
         assert!(!Fault::Mute.censors(ClientId(1)));
 
-        let spec = ClusterSpec::default();
-        let mut host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 0), CostModel::default(), n);
-        host.fault = Some(fault);
-        // Client k sits at node id n + k - 1.
-        assert!(host.censored_node(NodeId(n as u32))); // client 1
-        assert!(!host.censored_node(NodeId(n as u32 + 1))); // client 2
-        assert!(host.censored_node(NodeId(n as u32 + 2))); // client 3
-        assert!(!host.censored_node(NodeId(2))); // a replica, never censored
-                                                 // Non-request traffic is never swallowed, even if garbled.
-        assert!(!host.censors_incoming(&[TAG_PREPARE, 0, 0]));
-        assert!(!host.censors_incoming(&[TAG_REQUEST, 0xff, 0xff]));
+        // Replies are dropped by the client they answer, wherever it sits.
+        let host = test_host(0, Some(fault), false);
+        let packet = PacketBuf::new(vec![TAG_REPLY, 1]);
+        let send = |client| {
+            host.outgoing(
+                0,
+                NetTarget::Client(9),
+                &reply_to(client),
+                PacketBuf::clone(&packet),
+            )
+        };
+        assert_eq!(send(1), None);
+        assert!(send(2).is_some());
+        assert_eq!(send(3), None);
+        // Non-request traffic is never swallowed, even if garbled.
+        assert!(!fault.censors_incoming(&[TAG_PREPARE, 0, 0]));
+        assert!(!fault.censors_incoming(&[TAG_REQUEST, 0xff, 0xff]));
     }
 
     #[test]
     fn provisioned_twin_stays_silent_until_split_brain_mounts() {
-        let spec = ClusterSpec::default();
-        let n = spec.cfg.n();
-        let mut host: FaultyReplicaHost = FaultyReplicaHost::honest_with_twin(
-            make_engine(&spec, 0),
-            make_engine(&spec, 0),
-            CostModel::default(),
-            n,
-        );
+        let n = ClusterSpec::default().cfg.n() as u32;
+        let mut host = test_host(0, None, true);
         // No fault: only engine 0 speaks, to everyone.
-        for dst in 1..(n as u32 + 2) {
-            assert!(host.audience_allows(0, NodeId(dst)));
-            assert!(!host.audience_allows(1, NodeId(dst)));
+        let targets = [peer(1), peer(2), peer(3), NetTarget::Client(n)];
+        for to in targets {
+            assert!(host.audience_allows(0, to));
+            assert!(!host.audience_allows(1, to));
         }
         // Split-brain mounted: audiences partition the peers.
         host.fault = Some(Fault::SplitBrain);
-        for peer in 1..n as u32 {
-            assert!(host.audience_allows(0, NodeId(peer)) ^ host.audience_allows(1, NodeId(peer)));
+        for r in 1..n {
+            assert!(host.audience_allows(0, peer(r)) ^ host.audience_allows(1, peer(r)));
         }
         // Unmounted again: back to engine-0-only.
         host.fault = None;
-        assert!(!host.audience_allows(1, NodeId(2)));
+        assert!(!host.audience_allows(1, peer(2)));
     }
 
     #[test]
     fn slow_primary_charges_but_never_drops() {
-        let spec = ClusterSpec::default();
-        let mut host: FaultyReplicaHost =
-            FaultyReplicaHost::honest(make_engine(&spec, 0), CostModel::default(), 4);
-        host.fault = Some(Fault::SlowPrimary { delay_ns: 750_000 });
-        assert_eq!(host.slowdown(), SimDuration::from_nanos(750_000));
+        let fault = Fault::SlowPrimary { delay_ns: 750_000 };
+        assert_eq!(fault.slowdown(), SimDuration::from_nanos(750_000));
+        assert_eq!(Fault::Mute.slowdown(), SimDuration::ZERO);
         for tag in [TAG_PREPARE, TAG_COMMIT, TAG_REPLY] {
             let packet = PacketBuf::new(vec![tag, 9, 9]);
             assert_eq!(
-                host.transform(PacketBuf::clone(&packet), tag == TAG_REPLY),
+                fault.transform(PacketBuf::clone(&packet), tag == TAG_REPLY),
                 Some(packet),
                 "slow ≠ lossy: every message passes through"
             );

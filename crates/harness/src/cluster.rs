@@ -9,13 +9,14 @@ use pbft_core::client::{Client, ClientEvent, ClientMetrics};
 use pbft_core::replica::{Replica, ReplicaMetrics, LIB_REGION_PAGES};
 use pbft_core::routing::ShardMap;
 use pbft_core::{
-    ClientId, ConsensusEngine, HandleResult, NetTarget, Output, PbftConfig, ReplicaId, TimerKind,
+    ClientId, ConsensusEngine, Envelope, HandleResult, NetTarget, Output, PacketBuf, PbftConfig,
+    ReplicaId, TimerKind,
 };
 use pbft_sql::{CostProfile, SqlApp};
 use pbft_state::PagedState;
 use simnet::{LinkParams, Node, NodeCtx, NodeId, SimConfig, SimDuration, Simulator, TimerId};
 
-use crate::byzantine::{Fault, FaultyReplicaHost};
+use crate::byzantine::{Fault, STORM_TIMER};
 use crate::cost::CostModel;
 use crate::workload::{OpGen, SQL_BENCH_SCHEMA};
 
@@ -184,20 +185,48 @@ impl Default for ClusterSpec {
 
 /// A replica mounted as a simulator node. Generic over the
 /// [`ConsensusEngine`] it hosts; defaults to the PBFT [`Replica`].
+///
+/// Every host can misbehave: it is honest until a Byzantine [`Fault`] is
+/// mounted on it ([`Cluster::mount_fault`]), and honest again once the
+/// fault is unmounted. A host may also carry a silent split-brain twin —
+/// a second engine with the same identity that tracks the whole protocol
+/// history but speaks only while [`Fault::SplitBrain`] is mounted (see
+/// [`crate::byzantine`], which holds the fault-specific packet policy).
 pub struct ReplicaHost<E: ConsensusEngine = Replica> {
     /// The protocol engine.
     pub replica: E,
-    /// Cumulative work record (cost-model inputs), for experiment reports.
+    /// Cumulative work record of `replica` (cost-model inputs), for
+    /// experiment reports.
     pub cum_counts: pbft_core::OpCounts,
+    /// The split-brain twin, if one was provisioned at construction.
+    pub(crate) twin: Option<E>,
+    /// The mounted Byzantine behaviour; `None` is honest.
+    pub(crate) fault: Option<Fault>,
     model: CostModel,
+    /// Mounted by a restart: the engine(s) run their recovery path on start.
     restarted: bool,
 }
 
-fn apply_outputs(res: HandleResult, model: &CostModel, ctx: &mut NodeCtx<'_>) {
+/// Charge an engine invocation's work and carry out its outputs.
+/// `outgoing` decides what each send puts on the wire: the packet itself,
+/// a replacement, or nothing.
+fn apply_outputs(
+    res: HandleResult,
+    model: &CostModel,
+    ctx: &mut NodeCtx<'_>,
+    mut outgoing: impl FnMut(NetTarget, &Envelope, PacketBuf) -> Option<PacketBuf>,
+) {
     ctx.charge(model.charge_counts(&res.counts));
     for out in res.outputs {
         match out {
-            Output::Send { to, packet, .. } => {
+            Output::Send {
+                to,
+                packet,
+                envelope,
+            } => {
+                let Some(packet) = outgoing(to, &envelope, packet) else {
+                    continue;
+                };
                 ctx.charge(model.packet_cost(packet.len()));
                 let dst = match to {
                     NetTarget::Replica(r) => NodeId(r.0),
@@ -213,15 +242,47 @@ fn apply_outputs(res: HandleResult, model: &CostModel, ctx: &mut NodeCtx<'_>) {
     }
 }
 
+/// The `outgoing` policy of an honest sender: every packet leaves as is.
+fn as_is(_: NetTarget, _: &Envelope, packet: PacketBuf) -> Option<PacketBuf> {
+    Some(packet)
+}
+
 impl<E: ConsensusEngine> ReplicaHost<E> {
-    /// Mount a replica engine with the standard honest behaviour.
+    /// Mount a replica engine, honest until a fault is mounted on it.
     pub fn new(replica: E, model: CostModel) -> ReplicaHost<E> {
         ReplicaHost {
             replica,
             cum_counts: Default::default(),
+            twin: None,
+            fault: None,
             model,
             restarted: false,
         }
+    }
+
+    /// Run one engine invocation on the member, then on its twin if one is
+    /// provisioned, and carry out their outputs. The twin's clock is skewed
+    /// by one nanosecond: the brains are otherwise deterministic twins and
+    /// would issue *identical* pre-prepares — the skew lands in the batch's
+    /// non-determinism data, so their batches genuinely conflict while
+    /// every message stays correctly authenticated.
+    fn drive(&mut self, ctx: &mut NodeCtx<'_>, mut call: impl FnMut(&mut E, u64) -> HandleResult) {
+        let now = ctx.now().as_nanos();
+        let res = call(&mut self.replica, now);
+        self.cum_counts.add(&res.counts);
+        self.emit(0, res, ctx);
+        if let Some(res) = self.twin.as_mut().map(|twin| call(twin, now + 1)) {
+            self.emit(1, res, ctx);
+        }
+    }
+
+    /// Carry out the outputs of engine `engine` (0: the member, 1: its
+    /// twin), each send filtered through the fault policy
+    /// ([`ReplicaHost::outgoing`]).
+    pub(crate) fn emit(&self, engine: usize, res: HandleResult, ctx: &mut NodeCtx<'_>) {
+        apply_outputs(res, &self.model, ctx, |to, env, packet| {
+            self.outgoing(engine, to, env, packet)
+        });
     }
 }
 
@@ -242,25 +303,34 @@ impl ClientHost {
 
 impl<E: ConsensusEngine> Node for ReplicaHost<E> {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        let res = self.replica.on_start(ctx.now().as_nanos(), self.restarted);
-        self.cum_counts.add(&res.counts);
-        apply_outputs(res, &self.model.clone(), ctx);
+        let restarted = self.restarted;
+        self.drive(ctx, |engine, now| engine.on_start(now, restarted));
+        self.arm_fault_timer(ctx);
     }
 
     fn on_packet(&mut self, _src: NodeId, payload: &[u8], ctx: &mut NodeCtx<'_>) {
         ctx.charge(self.model.packet_cost(payload.len()));
-        let res = self.replica.handle_packet(payload, ctx.now().as_nanos());
-        self.cum_counts.add(&res.counts);
-        apply_outputs(res, &self.model.clone(), ctx);
+        if let Some(fault) = self.fault {
+            ctx.charge(fault.slowdown());
+            if fault.censors_incoming(payload) {
+                return; // the censored client's request is silently swallowed
+            }
+        }
+        self.drive(ctx, |engine, now| engine.handle_packet(payload, now));
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut NodeCtx<'_>) {
+        if timer == STORM_TIMER {
+            self.storm_burst(ctx);
+            return;
+        }
         let Some(kind) = TimerKind::from_index(timer.0) else {
             return;
         };
-        let res = self.replica.on_timer(kind, ctx.now().as_nanos());
-        self.cum_counts.add(&res.counts);
-        apply_outputs(res, &self.model.clone(), ctx);
+        if let Some(fault) = self.fault {
+            ctx.charge(fault.slowdown());
+        }
+        self.drive(ctx, |engine, now| engine.on_timer(kind, now));
     }
 }
 
@@ -298,7 +368,7 @@ impl ClientHost {
             let (op, read_only) = gen(self.issued);
             self.issued += 1;
             let res = self.client.submit(op, read_only, ctx.now().as_nanos());
-            apply_outputs(res, &self.model.clone(), ctx);
+            apply_outputs(res, &self.model, ctx, as_is);
         }
     }
 
@@ -327,13 +397,13 @@ impl ClientHost {
 impl Node for ClientHost {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         let res = self.client.on_start(ctx.now().as_nanos());
-        apply_outputs(res, &self.model.clone(), ctx);
+        apply_outputs(res, &self.model, ctx, as_is);
     }
 
     fn on_packet(&mut self, _src: NodeId, payload: &[u8], ctx: &mut NodeCtx<'_>) {
         ctx.charge(self.model.packet_cost(payload.len()));
         let res = self.client.handle_packet(payload, ctx.now().as_nanos());
-        apply_outputs(res, &self.model.clone(), ctx);
+        apply_outputs(res, &self.model, ctx, as_is);
         self.events.extend(self.client.take_events());
         self.pump_workload(ctx);
     }
@@ -347,7 +417,7 @@ impl Node for ClientHost {
             return;
         };
         let res = self.client.on_timer(kind, ctx.now().as_nanos());
-        apply_outputs(res, &self.model.clone(), ctx);
+        apply_outputs(res, &self.model, ctx, as_is);
         self.pump_workload(ctx);
     }
 }
@@ -389,111 +459,56 @@ pub fn make_engine<E: ConsensusEngine>(spec: &ClusterSpec, i: u32) -> E {
     )
 }
 
-/// The PBFT-engine constructors, kept non-generic so the many existing call
+/// The PBFT-engine constructor, kept non-generic so the many existing call
 /// sites (`Cluster::build(spec)`) resolve without type annotations.
 impl Cluster {
     /// Build the cluster: replicas first (node id == replica id), then
     /// clients. Dynamic deployments complete their joins before this
-    /// returns.
+    /// returns. Every member is honest until a fault is mounted on it
+    /// ([`Cluster::mount_fault`]).
     pub fn build(spec: ClusterSpec) -> Cluster {
         Cluster::build_engine(spec)
-    }
-
-    /// Fully custom node assembly: the closure adds every node to the
-    /// simulator and returns `(replica_node_ids, client_node_ids)`. Used by
-    /// topologies that interpose extra nodes (e.g. privacy-firewall rows).
-    pub fn build_custom(
-        spec: ClusterSpec,
-        assemble: impl FnOnce(&mut Simulator, &ClusterSpec) -> (Vec<NodeId>, Vec<NodeId>),
-    ) -> Cluster {
-        Cluster::build_engine_custom(spec, assemble)
-    }
-
-    /// [`Cluster::build`] with every replica wrapped in a fault-free
-    /// [`FaultyReplicaHost`]: behaviour is identical to [`Cluster::build`],
-    /// but scenarios can [`Cluster::mount_fault`] on any member at runtime.
-    pub fn build_fault_ready(spec: ClusterSpec) -> Cluster {
-        Cluster::build_engine_fault_ready(spec)
-    }
-
-    /// [`Cluster::build`] with custom replica hosts — the hook for mounting
-    /// Byzantine behaviours on selected replicas.
-    pub fn build_with(
-        spec: ClusterSpec,
-        make_host: impl FnMut(u32, Replica) -> Box<dyn Node>,
-    ) -> Cluster {
-        Cluster::build_engine_with(spec, make_host)
     }
 }
 
 impl<E: ConsensusEngine> Cluster<E> {
     /// [`Cluster::build`] for any engine type.
     pub fn build_engine(spec: ClusterSpec) -> Cluster<E> {
-        let cost = spec.cost;
-        Self::build_engine_with(spec, |_, replica| {
-            Box::new(ReplicaHost {
-                replica,
-                cum_counts: Default::default(),
-                model: cost,
-                restarted: false,
+        Self::assemble(spec, |host| host, |_, _| None)
+    }
+
+    /// The one assembly path every cluster takes: replicas first (node id
+    /// == replica id, each host passed through `host` — the hook that
+    /// provisions twins or mounts construction-time faults), then the
+    /// nodes `interpose` adds between replicas and clients, then the
+    /// clients. `interpose` returns the reply address the clients
+    /// advertise instead of their own node (e.g. the outermost firewall
+    /// row); `None` keeps the standard layout. Settles joins before
+    /// returning.
+    pub(crate) fn assemble(
+        spec: ClusterSpec,
+        mut host: impl FnMut(ReplicaHost<E>) -> ReplicaHost<E>,
+        interpose: impl FnOnce(&mut Simulator, &ClusterSpec) -> Option<u32>,
+    ) -> Cluster<E> {
+        let mut sim = Simulator::new(SimConfig {
+            seed: spec.seed,
+            default_link: spec.link,
+            trace: spec.trace,
+            ..Default::default()
+        });
+        let n = spec.cfg.n();
+        let replicas: Vec<NodeId> = (0..n as u32)
+            .map(|i| {
+                let replica = ReplicaHost::new(make_engine::<E>(&spec, i), spec.cost);
+                sim.add_node(Box::new(host(replica)))
             })
-        })
-    }
-
-    /// [`Cluster::build_custom`] for any engine type.
-    pub fn build_engine_custom(
-        spec: ClusterSpec,
-        assemble: impl FnOnce(&mut Simulator, &ClusterSpec) -> (Vec<NodeId>, Vec<NodeId>),
-    ) -> Cluster<E> {
-        let mut sim = Simulator::new(SimConfig {
-            seed: spec.seed,
-            default_link: spec.link,
-            trace: spec.trace,
-            ..Default::default()
-        });
-        let (replicas, clients) = assemble(&mut sim, &spec);
-        let mut cluster = Cluster {
-            sim,
-            replicas,
-            clients,
-            spec,
-            _engine: std::marker::PhantomData,
-        };
-        cluster.settle();
-        cluster
-    }
-
-    /// [`Cluster::build_fault_ready`] for any engine type.
-    pub fn build_engine_fault_ready(spec: ClusterSpec) -> Cluster<E> {
-        let cost = spec.cost;
-        let n = spec.cfg.n();
-        Self::build_engine_with(spec, move |_, replica| {
-            Box::new(FaultyReplicaHost::honest(replica, cost, n))
-        })
-    }
-
-    /// [`Cluster::build_with`] for any engine type.
-    pub fn build_engine_with(
-        spec: ClusterSpec,
-        mut make_host: impl FnMut(u32, E) -> Box<dyn Node>,
-    ) -> Cluster<E> {
-        let mut sim = Simulator::new(SimConfig {
-            seed: spec.seed,
-            default_link: spec.link,
-            trace: spec.trace,
-            ..Default::default()
-        });
-        let n = spec.cfg.n();
-        let mut replicas = Vec::with_capacity(n);
-        for i in 0..n as u32 {
-            let replica = make_engine::<E>(&spec, i);
-            let id = sim.add_node(make_host(i, replica));
-            replicas.push(id);
-        }
+            .collect();
+        let reply_via = interpose(&mut sim, &spec);
         let mut clients = Vec::with_capacity(spec.num_clients);
         for c in 0..spec.num_clients {
-            // The client's transport address is its (future) simnet node id.
-            let addr = (n + c) as u32;
+            // The client's transport address is its (future) simnet node
+            // id, unless replies reach it through interposed nodes.
+            let addr = reply_via.unwrap_or((n + c) as u32);
             let client = if spec.cfg.dynamic_membership {
                 let idbuf = match &spec.app {
                     AppKind::Evoting { voters, .. } => {
@@ -506,8 +521,7 @@ impl<E: ConsensusEngine> Cluster<E> {
             } else {
                 Client::new_static(spec.cfg.clone(), GROUP_SEED, ClientId(c as u64 + 1), addr)
             };
-            let id = sim.add_node(Box::new(ClientHost::new(client, spec.cost)));
-            clients.push(id);
+            clients.push(sim.add_node(Box::new(ClientHost::new(client, spec.cost))));
         }
         let mut cluster = Cluster {
             sim,
@@ -609,7 +623,7 @@ impl<E: ConsensusEngine> Cluster<E> {
         self.sim.with_node_ctx::<ClientHost, _>(id, |host, ctx| {
             let model = host.model;
             let res = host.client.submit(op, read_only, ctx.now().as_nanos());
-            apply_outputs(res, &model, ctx);
+            apply_outputs(res, &model, ctx, as_is);
         });
     }
 
@@ -665,73 +679,49 @@ impl<E: ConsensusEngine> Cluster<E> {
             .unwrap_or_default()
     }
 
-    /// Access a replica engine, whichever host flavor it is mounted under
-    /// (the plain [`ReplicaHost`] or a fault-ready [`FaultyReplicaHost`] —
-    /// for the latter, engine 0: the identity a split-brain twin shares).
+    /// Access a replica engine (for a member with a split-brain twin, the
+    /// member's own engine). `None` while the member is crashed.
     pub fn replica(&self, i: usize) -> Option<&E> {
-        let id = self.replicas[i];
-        if let Some(h) = self.sim.node_ref::<ReplicaHost<E>>(id) {
-            return Some(&h.replica);
-        }
-        self.sim
-            .node_ref::<FaultyReplicaHost<E>>(id)
-            .map(|h| &h.engines[0])
+        self.host(i).map(|h| &h.replica)
     }
 
-    /// Mount a Byzantine `fault` on member `i` at runtime. The member must
-    /// be hosted fault-ready — build the cluster with
-    /// [`Cluster::build_fault_ready`] (or `build_faulty_cluster`); restarts
-    /// of fault-ready members stay fault-ready.
+    fn host(&self, i: usize) -> Option<&ReplicaHost<E>> {
+        self.sim.node_ref::<ReplicaHost<E>>(self.replicas[i])
+    }
+
+    /// Mount a Byzantine `fault` on member `i` at runtime, replacing any
+    /// mounted one. Faults do not outlive a crash: a restarted member comes
+    /// back honest.
     ///
     /// # Panics
-    /// Panics if the member is crashed or not fault-ready, or (from the
-    /// host) when mounting [`Fault::SplitBrain`] without a construction-time
-    /// twin.
+    /// Panics if the member is crashed, or (from the host) when mounting
+    /// [`Fault::SplitBrain`] on a member without a construction-time twin.
     pub fn mount_fault(&mut self, i: usize, fault: Fault) {
-        let mounted = self
-            .sim
-            .with_node_ctx::<FaultyReplicaHost<E>, _>(self.replicas[i], |host, ctx| {
+        self.sim
+            .with_node_ctx::<ReplicaHost<E>, _>(self.replicas[i], |host, ctx| {
                 host.mount(fault, ctx)
-            });
-        assert!(
-            mounted.is_some(),
-            "replica {i} is not fault-ready (crashed, or not built via build_fault_ready)"
-        );
+            })
+            .unwrap_or_else(|| panic!("replica {i} is crashed"));
     }
 
     /// Unmount member `i`'s fault: it behaves honestly from now on. No-op
     /// if no fault is mounted; panics like [`Cluster::mount_fault`] if the
-    /// member is not fault-ready.
+    /// member is crashed.
     pub fn unmount_fault(&mut self, i: usize) {
-        let unmounted = self
-            .sim
-            .with_node_ctx::<FaultyReplicaHost<E>, _>(self.replicas[i], |host, ctx| {
-                host.unmount(ctx)
-            });
-        assert!(
-            unmounted.is_some(),
-            "replica {i} is not fault-ready (crashed, or not built via build_fault_ready)"
-        );
+        self.sim
+            .with_node_ctx::<ReplicaHost<E>, _>(self.replicas[i], |host, ctx| host.unmount(ctx))
+            .unwrap_or_else(|| panic!("replica {i} is crashed"));
     }
 
-    /// The fault currently mounted on member `i` (`None` for honest members
-    /// and members not hosted fault-ready).
+    /// The fault currently mounted on member `i` (`None` for honest and
+    /// crashed members).
     pub fn mounted_fault(&self, i: usize) -> Option<Fault> {
-        self.sim
-            .node_ref::<FaultyReplicaHost<E>>(self.replicas[i])
-            .and_then(|h| h.fault())
+        self.host(i).and_then(|h| h.fault)
     }
 
     /// A replica's cumulative work record (cost-model inputs).
     pub fn replica_counts(&self, i: usize) -> pbft_core::OpCounts {
-        let id = self.replicas[i];
-        if let Some(h) = self.sim.node_ref::<ReplicaHost<E>>(id) {
-            return h.cum_counts;
-        }
-        self.sim
-            .node_ref::<FaultyReplicaHost<E>>(id)
-            .map(|h| h.cum_counts)
-            .unwrap_or_default()
+        self.host(i).map(|h| h.cum_counts).unwrap_or_default()
     }
 
     /// A client's metrics.
@@ -764,35 +754,19 @@ impl<E: ConsensusEngine> Cluster<E> {
 
     /// Restart a crashed replica. `preserve_disk` keeps the state region
     /// (the durable "disk"); otherwise it restarts blank. Client session
-    /// keys are always lost — the §2.3 scenario. The host flavor survives
-    /// the restart: a fault-ready member comes back fault-ready (with no
-    /// fault mounted — faults do not outlive a crash).
+    /// keys are always lost — the §2.3 scenario. The member comes back
+    /// honest (faults do not outlive a crash), and a member that carried a
+    /// split-brain twin gets a fresh one, so it can be re-compromised later.
     pub fn restart_replica(&mut self, i: usize, preserve_disk: bool) {
         let node_id = self.replicas[i];
-        // Salvage the durable state (if preserving) and remember the host
-        // flavor so the restart re-wraps identically — including whether a
-        // split-brain twin was provisioned (adversary-ready members stay
-        // adversary-ready across proactive recovery).
-        let (old_state, was_fault_ready, had_twin): (Option<StateHandle>, bool, bool) =
-            match self.sim.take_node(node_id) {
-                Some(node) => {
-                    let any = node as Box<dyn std::any::Any>;
-                    match any.downcast::<ReplicaHost<E>>() {
-                        Ok(host) => (Some(host.replica.state_handle()), false, false),
-                        Err(any) => match any.downcast::<FaultyReplicaHost<E>>() {
-                            Ok(host) => (
-                                Some(host.engines[0].state_handle()),
-                                true,
-                                host.engines.len() > 1,
-                            ),
-                            Err(_) => (None, false, false),
-                        },
-                    }
-                }
-                None => (None, false, false),
-            };
-        let state: StateHandle = match (preserve_disk, old_state) {
-            (true, Some(state)) => state,
+        let old = self.sim.take_node(node_id).and_then(|node| {
+            (node as Box<dyn std::any::Any>)
+                .downcast::<ReplicaHost<E>>()
+                .ok()
+        });
+        let had_twin = old.as_ref().is_some_and(|h| h.twin.is_some());
+        let state: StateHandle = match old {
+            Some(host) if preserve_disk => host.replica.state_handle(),
             _ => Rc::new(RefCell::new(PagedState::new(self.spec.app.state_pages()))),
         };
         let app = self.spec.make_app(state.clone());
@@ -804,34 +778,13 @@ impl<E: ConsensusEngine> Cluster<E> {
             app,
             &[], // session keys are transient: all lost
         );
-        let host: Box<dyn Node> = if had_twin {
-            // Re-provision a fresh silent twin: the rebooted member can be
-            // re-compromised later, but the reboot itself wiped whatever the
-            // old twin knew.
-            Box::new(
-                FaultyReplicaHost::honest_with_twin(
-                    replica,
-                    make_engine::<E>(&self.spec, i as u32),
-                    self.spec.cost,
-                    self.spec.cfg.n(),
-                )
-                .as_restarted(),
-            )
-        } else if was_fault_ready {
-            Box::new(FaultyReplicaHost::honest_restarted(
-                replica,
-                self.spec.cost,
-                self.spec.cfg.n(),
-            ))
-        } else {
-            Box::new(ReplicaHost {
-                replica,
-                cum_counts: Default::default(),
-                model: self.spec.cost,
-                restarted: true,
-            })
-        };
-        self.sim.restart(node_id, host);
+        let mut host = ReplicaHost::new(replica, self.spec.cost);
+        host.restarted = true;
+        if had_twin {
+            // The reboot wiped whatever the old twin knew.
+            host.twin = Some(make_engine::<E>(&self.spec, i as u32));
+        }
+        self.sim.restart(node_id, Box::new(host));
     }
 
     /// Proactively recover a *healthy* member: reboot it through the normal
@@ -866,7 +819,7 @@ impl<E: ConsensusEngine> Cluster<E> {
             self.sim.with_node_ctx::<ClientHost, _>(id, |host, ctx| {
                 let model = host.model;
                 let res = host.client.redistribute_session_keys();
-                apply_outputs(res, &model, ctx);
+                apply_outputs(res, &model, ctx, as_is);
             });
         }
     }

@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use pbft_core::{ClientId, Envelope, Message};
 use simnet::{Node, NodeCtx, NodeId, TimerId};
 
-use crate::cluster::{make_engine, ClientHost, Cluster, ClusterSpec, ReplicaHost};
+use crate::cluster::{Cluster, ClusterSpec};
 use crate::cost::CostModel;
 
 /// Reply-filtering state for one `(client, timestamp)`.
@@ -183,35 +183,23 @@ pub fn build_firewalled_cluster(spec: ClusterSpec, rows: usize) -> FirewalledClu
         .map(|c| (ClientId(c as u64 + 1), NodeId(client_base + c as u32)))
         .collect();
 
-    let cluster = Cluster::build_custom(spec, |sim, spec| {
-        // Replicas.
-        let mut replicas = Vec::with_capacity(n);
-        for i in 0..n as u32 {
-            let replica = make_engine::<pbft_core::Replica>(spec, i);
-            replicas.push(sim.add_node(Box::new(ReplicaHost::new(replica, cost))));
-        }
-        // Firewall rows, chained toward the clients.
-        for row in 0..rows {
-            let next = if row + 1 < rows {
-                NextHop::Row(NodeId(first_row + row as u32 + 1))
-            } else {
-                NextHop::Clients(client_map.clone())
-            };
-            sim.add_node(Box::new(FirewallNode::new(weak, strong, next, cost)));
-        }
-        // Clients: their advertised reply address is the outermost row.
-        let mut clients = Vec::with_capacity(num_clients);
-        for c in 0..num_clients {
-            let client = pbft_core::Client::new_static(
-                spec.cfg.clone(),
-                crate::cluster::GROUP_SEED,
-                ClientId(c as u64 + 1),
-                first_row,
-            );
-            clients.push(sim.add_node(Box::new(ClientHost::new(client, cost))));
-        }
-        (replicas, clients)
-    });
+    // Firewall rows sit between the replicas and the clients, chained
+    // toward the clients; clients advertise the outermost row.
+    let cluster = Cluster::assemble(
+        spec,
+        |host| host,
+        |sim, _| {
+            for row in 0..rows {
+                let next = if row + 1 < rows {
+                    NextHop::Row(NodeId(first_row + row as u32 + 1))
+                } else {
+                    NextHop::Clients(client_map.clone())
+                };
+                sim.add_node(Box::new(FirewallNode::new(weak, strong, next, cost)));
+            }
+            Some(first_row)
+        },
+    );
     let rows = (first_row..client_base).map(NodeId).collect();
     FirewalledCluster { cluster, rows }
 }

@@ -354,28 +354,12 @@ pub struct ShardedCluster<E: ConsensusEngine = Replica> {
 }
 
 impl ShardedCluster {
-    /// Build `spec.shards` PBFT groups and align their clocks.
+    /// Build `spec.shards` PBFT groups and align their clocks. Every member
+    /// of every group is honest until a fault is mounted on it (scenarios
+    /// mount and unmount Byzantine faults on any `(shard, member)` at
+    /// runtime).
     pub fn build(spec: ShardedClusterSpec) -> ShardedCluster {
         Self::build_engine(spec)
-    }
-
-    /// [`ShardedCluster::build`] with every member of every group wrapped
-    /// fault-ready (see [`Cluster::build_fault_ready`]), so scenarios can
-    /// mount and unmount Byzantine faults on any `(shard, member)` at
-    /// runtime.
-    pub fn build_fault_ready(spec: ShardedClusterSpec) -> ShardedCluster {
-        Self::build_engine_fault_ready(spec)
-    }
-
-    /// [`ShardedCluster::build`] with a per-group cluster factory — the hook
-    /// for mounting faulty replicas in selected groups (the factory receives
-    /// the shard index and the seed-decorrelated group spec, and typically
-    /// calls [`Cluster::build`] or [`crate::byzantine::build_faulty_cluster`]).
-    pub fn build_with(
-        spec: ShardedClusterSpec,
-        make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster + 'static,
-    ) -> ShardedCluster {
-        Self::build_engine_with(spec, make_cluster)
     }
 }
 
@@ -386,14 +370,13 @@ impl<E: ConsensusEngine> ShardedCluster<E> {
         Self::build_engine_with(spec, |_, gspec| Cluster::build_engine(gspec))
     }
 
-    /// [`ShardedCluster::build_fault_ready`] for an arbitrary engine.
-    pub fn build_engine_fault_ready(spec: ShardedClusterSpec) -> ShardedCluster<E> {
-        Self::build_engine_with(spec, |_, gspec| Cluster::build_engine_fault_ready(gspec))
-    }
-
-    /// [`ShardedCluster::build_with`] for an arbitrary engine. The factory
-    /// is retained: splits use it to boot the target group, so it must own
-    /// its captures (`'static`).
+    /// [`ShardedCluster::build_engine`] with a per-group cluster factory —
+    /// the hook for mounting faulty replicas in selected groups (the
+    /// factory receives the shard index and the seed-decorrelated group
+    /// spec, and typically calls [`Cluster::build_engine`] or
+    /// [`crate::byzantine::build_faulty_cluster_engine`]). The factory is
+    /// retained: splits use it to boot the target group, so it must own its
+    /// captures (`'static`).
     pub fn build_engine_with(
         spec: ShardedClusterSpec,
         make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster<E> + 'static,

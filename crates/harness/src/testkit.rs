@@ -120,10 +120,9 @@ pub fn xshard_spec(shards: usize, initiators: usize, base: ClusterSpec) -> XShar
     }
 }
 
-/// A fault-ready single group for scenario runs: [`failover_spec`] +
-/// [`recovery_cfg`]'s fetch/checkpoint knobs, every member mounted so
-/// faults can be swapped at runtime (see
-/// [`Cluster::build_fault_ready`]).
+/// A single group for scenario runs: [`failover_spec`] +
+/// [`recovery_cfg`]'s fetch/checkpoint knobs. Like every cluster, each
+/// member can take a fault at runtime (see [`Cluster::mount_fault`]).
 pub fn scenario_cluster(num_clients: usize, seed: u64) -> Cluster {
     scenario_cluster_engine::<pbft_core::Replica>(num_clients, seed)
 }
@@ -135,7 +134,7 @@ pub fn scenario_cluster_engine<E: ConsensusEngine>(num_clients: usize, seed: u64
     spec.cfg.checkpoint_interval = 32;
     spec.cfg.fetch_missing_bodies = true;
     spec.cfg.congestion_window = CONFORMANCE_PIPELINE_DEPTH;
-    Cluster::build_engine_fault_ready(spec)
+    Cluster::build_engine(spec)
 }
 
 /// [`scenario_cluster_engine`] with member `compromised` additionally
@@ -211,6 +210,10 @@ pub fn assert_correct_replicas_agree<E: ConsensusEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::Fault;
+    use crate::scenario::ScenarioTarget;
+    use crate::shard::ShardedCluster;
+    use crate::xshard::XShardCluster;
 
     #[test]
     fn specs_carry_their_knobs() {
@@ -246,16 +249,53 @@ mod tests {
         assert_eq!(spec.cfg.effective_window(), CONFORMANCE_PIPELINE_DEPTH);
     }
 
-    #[test]
-    fn scenario_cluster_is_fault_ready() {
-        let mut cluster = scenario_cluster(1, 5);
-        assert_eq!(cluster.mounted_fault(0), None);
-        cluster.mount_fault(0, crate::byzantine::Fault::Mute);
-        assert_eq!(
-            cluster.mounted_fault(0),
-            Some(crate::byzantine::Fault::Mute)
-        );
+    /// Mount, check and unmount a fault on one member of every group.
+    fn cycle_a_fault<T: ScenarioTarget>(target: &mut T) {
+        for shard in 0..target.shard_count() {
+            let group = target.group_mut(shard);
+            assert_eq!(group.mounted_fault(1), None);
+            group.mount_fault(1, Fault::Mute);
+            assert_eq!(group.mounted_fault(1), Some(Fault::Mute));
+            group.unmount_fault(1);
+            assert_eq!(group.mounted_fault(1), None);
+        }
+    }
+
+    fn cycle_a_fault_on_every_flavor<E: ConsensusEngine>() {
+        cycle_a_fault(&mut Cluster::<E>::build_engine(failover_spec(1, 5)));
+        cycle_a_fault(&mut ShardedCluster::<E>::build_engine(sharded_spec(
+            2,
+            failover_spec(1, 5),
+        )));
+        cycle_a_fault(&mut XShardCluster::<E>::build_engine(xshard_spec(
+            2,
+            1,
+            failover_spec(1, 5),
+        )));
+
+        // An adversary seat keeps its split-brain twin across proactive
+        // recovery: split-brain stays mountable (it panics without a twin).
+        let mut cluster = adversary_cluster_engine::<E>(1, 5, 0);
+        cluster.proactive_recover(0);
+        cluster.mount_fault(0, Fault::SplitBrain);
+        assert_eq!(cluster.mounted_fault(0), Some(Fault::SplitBrain));
         cluster.unmount_fault(0);
-        assert_eq!(cluster.mounted_fault(0), None);
+    }
+
+    #[test]
+    fn every_cluster_member_can_take_a_fault() {
+        cycle_a_fault(&mut scenario_cluster(1, 5));
+        cycle_a_fault(&mut Cluster::build(failover_spec(1, 5)));
+        cycle_a_fault(&mut ShardedCluster::build(sharded_spec(
+            2,
+            failover_spec(1, 5),
+        )));
+        cycle_a_fault(&mut XShardCluster::build(xshard_spec(
+            2,
+            1,
+            failover_spec(1, 5),
+        )));
+        cycle_a_fault_on_every_flavor::<pbft_core::Replica>();
+        cycle_a_fault_on_every_flavor::<pbft_core::LinearReplica>();
     }
 }

@@ -260,28 +260,10 @@ pub struct XShardCluster<E: ConsensusEngine = Replica> {
 
 impl XShardCluster {
     /// Build the deployment over PBFT groups (see
-    /// [`XShardCluster::build_with`]).
+    /// [`XShardCluster::build_engine_with`]). Every member of every group
+    /// is honest until a fault is mounted on it.
     pub fn build(spec: XShardSpec) -> XShardCluster {
         Self::build_engine(spec)
-    }
-
-    /// [`XShardCluster::build`] with every member of every group wrapped
-    /// fault-ready (see [`Cluster::build_fault_ready`]), so scenarios can
-    /// mount and unmount Byzantine faults on any `(shard, member)` at
-    /// runtime.
-    pub fn build_fault_ready(spec: XShardSpec) -> XShardCluster {
-        Self::build_engine_fault_ready(spec)
-    }
-
-    /// Build with a per-group cluster factory (the hook for mounting faulty
-    /// replicas in chosen groups; the factory receives the shard index and
-    /// the group's spec and usually calls [`Cluster::build`] or
-    /// [`crate::byzantine::build_faulty_cluster`]).
-    pub fn build_with(
-        spec: XShardSpec,
-        make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster + 'static,
-    ) -> XShardCluster {
-        Self::build_engine_with(spec, make_cluster)
     }
 }
 
@@ -291,12 +273,10 @@ impl<E: ConsensusEngine> XShardCluster<E> {
         Self::build_engine_with(spec, |_, gspec| Cluster::build_engine(gspec))
     }
 
-    /// [`XShardCluster::build_fault_ready`] for an arbitrary engine.
-    pub fn build_engine_fault_ready(spec: XShardSpec) -> XShardCluster<E> {
-        Self::build_engine_with(spec, |_, gspec| Cluster::build_engine_fault_ready(gspec))
-    }
-
-    /// [`XShardCluster::build_with`] for an arbitrary engine.
+    /// Build with a per-group cluster factory (the hook for mounting faulty
+    /// replicas in chosen groups; the factory receives the shard index and
+    /// the group's spec and usually calls [`Cluster::build_engine`] or
+    /// [`crate::byzantine::build_faulty_cluster_engine`]).
     pub fn build_engine_with(
         spec: XShardSpec,
         make_cluster: impl FnMut(usize, ClusterSpec) -> Cluster<E> + 'static,

@@ -113,7 +113,7 @@ fn atomicity_with_one_byzantine_participant() {
         };
         // Mount the fault on a backup (replica 3) of the chosen group so the
         // group stays in view 0 and masks the liar with its honest quorum.
-        let mut xc = XShardCluster::build_with(spec, move |s, gspec| {
+        let mut xc = XShardCluster::build_engine_with(spec, move |s, gspec| {
             if s == faulty_shard {
                 build_faulty_cluster(gspec, 3, fault)
             } else {

@@ -4,7 +4,8 @@
 #   2. release build of every workspace crate
 #   3. scenario smoke pass: one short fault scenario per cluster flavor
 #   4. the whole test suite (unit + integration + property tests),
-#      per package with timing so slow suites are visible
+#      per package with timing so slow suites are visible, then the
+#      perfbench self-tests
 #   5. examples and all 16 bench targets compile
 #   6. clippy is clean across every target (warnings are errors)
 #   7. rustdoc is complete and warning-free, and the doc-examples run
@@ -57,6 +58,11 @@ for pkg in $packages; do
     echo "    [$pkg: $((SECONDS - t0))s]"
 done
 echo "    [all packages: $((SECONDS - total0))s]"
+
+# perfbench (the repository benchmark) is its own workspace and compiles
+# against the harness::cluster surface; build it and run its self-tests so
+# a library change that breaks the benchmark fails here.
+step cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 step cargo build --examples --benches
 
