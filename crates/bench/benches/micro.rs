@@ -14,6 +14,9 @@ fn crypto_benches(h: &mut Harness) {
     });
     let key = pbft_crypto::auth::MacKey::new([7u8; 32]);
     g.bench("fastmac_1kib", |b| b.iter(|| key.mac(black_box(&data), 0)));
+    // One per-peer authenticator entry: a fast MAC over a 32-byte digest.
+    let digest = *pbft_crypto::sha256(&data).as_bytes();
+    g.bench("fastmac_32b", |b| b.iter(|| key.mac(black_box(&digest), 0)));
     let kp = pbft_crypto::KeyPair::generate(1);
     g.bench("rsa_sign", |b| b.iter(|| kp.sign(black_box(&data))));
     let sig = kp.sign(&data);
@@ -26,9 +29,10 @@ fn crypto_benches(h: &mut Harness) {
     // peer, vs. the naive per-message scheme MACing the full prefix per
     // peer. Per-peer cost drops from a full-prefix MAC to a constant short
     // MAC — the prefix is walked once instead of n−1 times — so the seal
-    // scales with n as `digest + n·O(1)` rather than `n·O(len)`; at n = 4
-    // the two are close (the digest costs more per byte than the fast MAC)
-    // and the vector pulls ahead as the group grows.
+    // scales with n as `digest + n·O(1)` rather than `n·O(len)`. With the
+    // SHA-NI digest the seal already wins at n = 4 on a batch-sized prefix;
+    // the portable digest costs more per byte than the fast MAC, and there
+    // the vector pulls ahead only as the group grows.
     use pbft_core::keys::KeyStore;
     use pbft_core::types::ReplicaId;
     use pbft_core::{AuthMode, OpCounts};

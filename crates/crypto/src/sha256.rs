@@ -4,6 +4,12 @@
 //! nodes, checkpoint digests, key fingerprints. The original PBFT library used
 //! MD5 in this role; SHA-256 is a drop-in structural replacement (the paper's
 //! §3.3.1 explicitly calls for stronger primitives than the library shipped).
+//!
+//! The compression function has two backends with bit-identical output. On
+//! x86_64 CPUs with the SHA extensions (SHA-NI) it runs on the
+//! `sha256rnds2`/`sha256msg1`/`sha256msg2` instructions; the choice is made
+//! at run time by CPU feature detection and nothing else. Everywhere else the
+//! portable compressor runs; it is also the test oracle for the SHA-NI one.
 
 use std::fmt;
 
@@ -119,6 +125,17 @@ impl Sha256 {
 
     /// Absorb `data`.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
+    }
+
+    /// Finalize and return the digest. Consumes the hasher.
+    pub fn finish(self) -> Digest {
+        self.finish_with(compress)
+    }
+
+    /// [`Sha256::update`] over the given compressor, which is handed every
+    /// full block of `data` in one call.
+    fn update_with(&mut self, data: &[u8], compress: fn(&mut [u32; 8], &[u8])) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
         if self.buf_len > 0 {
@@ -126,54 +143,56 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let block: [u8; 64] = data[..64].try_into().expect("64 bytes");
-            self.compress(&block);
-            data = &data[64..];
+        let (blocks, rest) = data.split_at(data.len() / 64 * 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
-    /// Finalize and return the digest. Consumes the hasher.
-    pub fn finish(mut self) -> Digest {
+    /// [`Sha256::finish`] over the given compressor.
+    fn finish_with(mut self, compress: fn(&mut [u32; 8], &[u8])) -> Digest {
+        // Padding: 0x80, zeros, 8-byte big-endian bit length; one block, or
+        // two when the length no longer fits behind the buffered bytes.
+        let mut tail = [0u8; 128];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let tail_len = if self.buf_len < 56 { 64 } else { 128 };
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        self.update_no_len(&pad[..pad_len + 8]);
+        tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &tail[..tail_len]);
         let mut out = [0u8; 32];
         for (i, w) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn update_no_len(&mut self, data: &[u8]) {
-        // Like update() but without advancing total_len (used for padding).
-        let saved = self.total_len;
-        self.update(data);
-        self.total_len = saved;
+/// Compress `blocks` (a whole number of 64-byte blocks) into `state` with
+/// the fastest backend this CPU supports.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress(state, blocks) {
+        return;
     }
+    compress_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable compressor: FIPS 180-4 §6.2.2, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("4 bytes"));
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -183,7 +202,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -204,16 +223,14 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
+
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Digest {
@@ -225,51 +242,66 @@ pub fn sha256(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     fn hex(d: &Digest) -> String {
         d.to_string()
     }
 
+    /// SHA-256 on the portable compressor, whatever this CPU supports.
+    fn sha256_portable(data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.update_with(data, compress_portable);
+        h.finish_with(compress_portable)
+    }
+
+    /// Both backends: the dispatcher (SHA-NI where the CPU has it) and the
+    /// portable compressor.
+    const BACKENDS: [fn(&[u8]) -> Digest; 2] = [sha256, sha256_portable];
+
+    fn check_vector(data: &[u8], want: &str) {
+        for (i, hash) in BACKENDS.iter().enumerate() {
+            assert_eq!(hex(&hash(data)), want, "backend {i}");
+        }
+    }
+
     #[test]
     fn empty_vector() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn quick_brown_fox() {
-        assert_eq!(
-            hex(&sha256(b"The quick brown fox jumps over the lazy dog")),
-            "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"
+        check_vector(
+            b"The quick brown fox jumps over the lazy dog",
+            "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        check_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -278,10 +310,17 @@ mod tests {
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
         for chunk in [1usize, 3, 7, 63, 64, 65, 127, 999] {
             let mut h = Sha256::new();
+            let mut p = Sha256::new();
             for c in data.chunks(chunk) {
                 h.update(c);
+                p.update_with(c, compress_portable);
             }
             assert_eq!(h.finish(), sha256(&data), "chunk size {chunk}");
+            assert_eq!(
+                p.finish_with(compress_portable),
+                sha256(&data),
+                "portable, chunk size {chunk}"
+            );
         }
     }
 
@@ -311,7 +350,37 @@ mod tests {
             let mut h = Sha256::new();
             h.update(&data[..len / 2]);
             h.update(&data[len / 2..]);
-            assert_eq!(h.finish(), sha256(&data), "len {len}");
+            let want = h.finish();
+            assert_eq!(want, sha256(&data), "len {len}");
+            assert_eq!(want, sha256_portable(&data), "portable, len {len}");
+        }
+    }
+
+    /// The SHA-NI compressor against the portable one on pseudo-random
+    /// states and runs of one to four blocks (a run carries the state from
+    /// block to block inside the SHA-NI loop).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn shani_matches_portable() {
+        let mut probe = H0;
+        if !shani::compress(&mut probe, &[0; 64]) {
+            eprintln!("no SHA-NI on this CPU; differential test skipped");
+            return;
+        }
+        let mut rng = SplitMix64::new(0x5348_414e);
+        let mut data = vec![0u8; 4 * 64];
+        for case in 0..4000 {
+            let mut state = [0u32; 8];
+            for s in &mut state {
+                *s = rng.next_u64() as u32;
+            }
+            let blocks = 64 * (1 + case % 4);
+            rng.fill_bytes(&mut data[..blocks]);
+            let mut want = state;
+            compress_portable(&mut want, &data[..blocks]);
+            let mut got = state;
+            assert!(shani::compress(&mut got, &data[..blocks]));
+            assert_eq!(got, want, "case {case}");
         }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate, fully offline:
-#   1. formatting is canonical (cargo fmt --check)
+#   1. formatting is canonical (cargo fmt --check), and the SHA-NI module
+#      is the only unsafe code
 #   2. release build of every workspace crate
 #   3. scenario smoke pass: one short fault scenario per cluster flavor
 #   4. the whole test suite (unit + integration + property tests),
@@ -23,6 +24,21 @@ step() {
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+# The SHA-NI compressor is the only unsafe code in the workspace, and
+# pbft_crypto denies unsafe code everywhere else. Any other unsafe block,
+# fn, impl, trait or extern, or any other allow(unsafe_code), fails here.
+echo "==> unsafe code only in crates/crypto/src/sha256/shani.rs"
+grep -q '^#!\[deny(unsafe_code)\]' crates/crypto/src/lib.rs \
+    || { echo "pbft_crypto lost #![deny(unsafe_code)]"; exit 1; }
+stray=$(grep -rnE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)|allow\(unsafe_code\)' \
+    --include='*.rs' crates src tests examples \
+    | grep -v '^crates/crypto/src/sha256/shani.rs:' || true)
+if [ -n "$stray" ]; then
+    echo "unsafe code outside the SHA-NI module:"
+    echo "$stray"
+    exit 1
+fi
 
 step cargo build --release
 
